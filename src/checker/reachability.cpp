@@ -57,13 +57,19 @@ struct Prob01 {
 
 Prob01 reach_prob01(const CompiledModel& model, const StateSet& targets,
                     Objective objective) {
+  static stats::Timer& t_prob0 = stats::timer("graph.prob0.time");
+  static stats::Timer& t_prob1 = stats::timer("graph.prob1.time");
+  const bool maximize = objective == Objective::kMaximize;
   Prob01 sets;
-  if (objective == Objective::kMaximize) {
-    sets.zero = complement(reachable_existential(model, targets));
-    sets.one = prob1_existential(model, targets);
-  } else {
-    sets.zero = avoid_certain(model, targets);
-    sets.one = prob1_universal(model, targets);
+  {
+    const stats::ScopedTimer span(t_prob0);
+    sets.zero = maximize ? complement(reachable_existential(model, targets))
+                         : avoid_certain(model, targets);
+  }
+  {
+    const stats::ScopedTimer span(t_prob1);
+    sets.one = maximize ? prob1_existential(model, targets)
+                        : prob1_universal(model, targets);
   }
   if (stats::enabled()) {  // skip the popcounts entirely when disabled
     static stats::Gauge& g_zero = stats::gauge("checker.prob0.states");

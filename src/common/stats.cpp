@@ -53,6 +53,19 @@ constexpr SchemaEntry kSchema[] = {
     {"compile.quotient_fallbacks", SchemaEntry::kCounter},
     {"compile.quotient_blocks", SchemaEntry::kGauge},
     {"compile.quotient_time", SchemaEntry::kTimer},
+    // Qualitative graph precomputation (src/mdp/graph.cpp). prob0/prob1
+    // time the checker's and solver's calls per objective; scc times every
+    // Tarjan pass, including the passes inside the MEC fixpoint, so
+    // graph.mec.time contains part of graph.scc.time. rounds counts the
+    // outer rounds of the Prob1E nested fixpoint, visits the states the
+    // fixpoint worklists re-examined (both deterministic).
+    {"graph.preds.time", SchemaEntry::kTimer},
+    {"graph.scc.time", SchemaEntry::kTimer},
+    {"graph.mec.time", SchemaEntry::kTimer},
+    {"graph.prob0.time", SchemaEntry::kTimer},
+    {"graph.prob1.time", SchemaEntry::kTimer},
+    {"graph.prob1.rounds", SchemaEntry::kCounter},
+    {"graph.fixpoint.visits", SchemaEntry::kCounter},
     {"checker.checks", SchemaEntry::kCounter},
     {"checker.vi.iterations", SchemaEntry::kCounter},
     {"checker.pi.iterations", SchemaEntry::kCounter},

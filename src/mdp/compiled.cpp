@@ -101,6 +101,8 @@ StateSet CompiledModel::states_with_label(const std::string& label) const {
 void CompiledModel::build_predecessors() const {
   static stats::Counter& c_builds = stats::counter("compile.pred_builds");
   static stats::Counter& c_dedup = stats::counter("compile.pred_dedup_hits");
+  static stats::Timer& t_preds = stats::timer("graph.preds.time");
+  const stats::ScopedTimer span(t_preds);
   c_builds.bump();
   std::size_t dedup_hits = 0;
   const std::size_t n = num_states_;

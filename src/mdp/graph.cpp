@@ -1,8 +1,10 @@
 #include "src/mdp/graph.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
+#include <vector>
+
+#include "src/common/stats.hpp"
 
 namespace tml {
 
@@ -31,6 +33,8 @@ constexpr std::uint32_t kNoComponent = std::numeric_limits<std::uint32_t>::max()
 SccDecomposition tarjan_scc(const CompiledModel& model, const StateSet* allowed,
                             const std::vector<std::uint32_t>* same_component =
                                 nullptr) {
+  static stats::Timer& t_scc = stats::timer("graph.scc.time");
+  const stats::ScopedTimer span(t_scc);
   const std::size_t n = model.num_states();
   const auto& row_start = model.row_start();
   const auto& choice_start = model.choice_start();
@@ -158,21 +162,47 @@ SccDecomposition tarjan_scc(const CompiledModel& model, const StateSet* allowed,
 StateSet backward_closure(const CompiledModel& model, const StateSet& seeds,
                           const StateSet* blocked = nullptr) {
   StateSet reached = seeds;
-  std::deque<StateId> queue;
+  std::vector<StateId> work;
   for (StateId s = 0; s < seeds.size(); ++s) {
-    if (seeds[s]) queue.push_back(s);
+    if (seeds[s]) work.push_back(s);
   }
-  while (!queue.empty()) {
-    const StateId s = queue.front();
-    queue.pop_front();
+  while (!work.empty()) {
+    const StateId s = work.back();
+    work.pop_back();
     for (StateId p : model.predecessors(s)) {
       if (!reached[p] && (blocked == nullptr || !(*blocked)[p])) {
         reached[p] = true;
-        queue.push_back(p);
+        work.push_back(p);
       }
     }
   }
   return reached;
+}
+
+/// True when `s` has a choice whose positive-probability support lies
+/// inside `stay` and, when `hit` is given, reaches at least one state of
+/// *hit. The one local test both worklist fixpoints below re-evaluate.
+bool has_choice_within(const CompiledModel& model, StateId s,
+                       const StateSet& stay, const StateSet* hit) {
+  const auto& row_start = model.row_start();
+  const auto& choice_start = model.choice_start();
+  const auto& target = model.target();
+  const auto& prob = model.prob();
+  for (std::uint32_t c = row_start[s]; c < row_start[s + 1]; ++c) {
+    bool inside = true;
+    bool hits = hit == nullptr;
+    for (std::uint32_t k = choice_start[c]; k < choice_start[c + 1]; ++k) {
+      if (prob[k] <= 0.0) continue;
+      const StateId t = target[k];
+      if (!stay[t]) {
+        inside = false;
+        break;
+      }
+      if (!hits && (*hit)[t]) hits = true;
+    }
+    if (inside && hits) return true;
+  }
+  return false;
 }
 
 void require_size(const CompiledModel& model, const StateSet& targets,
@@ -191,80 +221,78 @@ StateSet reachable_existential(const CompiledModel& model,
 
 StateSet avoid_certain(const CompiledModel& model, const StateSet& targets) {
   require_size(model, targets, "avoid_certain");
+  static stats::Counter& c_visits = stats::counter("graph.fixpoint.visits");
   const std::size_t n = model.num_states();
-  const auto& row_start = model.row_start();
-  const auto& choice_start = model.choice_start();
-  const auto& target = model.target();
-  const auto& prob = model.prob();
-  // Greatest fixpoint: start from S \ T, repeatedly remove states with no
-  // choice whose support stays inside the candidate set.
+  // Greatest fixpoint from S \ T: drop every state with no choice whose
+  // support stays inside. One pass seeds the worklist with the first
+  // removals; after that a removal can only cost a safe choice to one of
+  // the removed state's predecessors, so only those are re-examined.
   StateSet inside = complement(targets);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (StateId s = 0; s < n; ++s) {
-      if (!inside[s]) continue;
-      bool has_safe_choice = false;
-      for (std::uint32_t c = row_start[s]; c < row_start[s + 1]; ++c) {
-        bool all_inside = true;
-        for (std::uint32_t k = choice_start[c]; k < choice_start[c + 1]; ++k) {
-          if (prob[k] > 0.0 && !inside[target[k]]) {
-            all_inside = false;
-            break;
-          }
-        }
-        if (all_inside) {
-          has_safe_choice = true;
-          break;
-        }
-      }
-      if (!has_safe_choice) {
-        inside[s] = false;
-        changed = true;
+  std::vector<StateId> work;
+  std::uint64_t visits = 0;
+  for (StateId s = 0; s < n; ++s) {
+    if (!inside[s]) continue;
+    ++visits;
+    if (!has_choice_within(model, s, inside, nullptr)) {
+      inside[s] = false;
+      work.push_back(s);
+    }
+  }
+  while (!work.empty()) {
+    const StateId t = work.back();
+    work.pop_back();
+    for (StateId p : model.predecessors(t)) {
+      if (!inside[p]) continue;
+      ++visits;
+      if (!has_choice_within(model, p, inside, nullptr)) {
+        inside[p] = false;
+        work.push_back(p);
       }
     }
   }
+  c_visits.add(visits);
   return inside;
 }
 
 StateSet prob1_existential(const CompiledModel& model,
                            const StateSet& targets) {
   require_size(model, targets, "prob1_existential");
+  static stats::Counter& c_rounds = stats::counter("graph.prob1.rounds");
+  static stats::Counter& c_visits = stats::counter("graph.fixpoint.visits");
   const std::size_t n = model.num_states();
-  const auto& row_start = model.row_start();
-  const auto& choice_start = model.choice_start();
-  const auto& target = model.target();
-  const auto& prob = model.prob();
   // de Alfaro's nested fixpoint. Outer: over-approximation u of Prob1E.
-  // Inner: states that can reach T via choices whose support stays in u.
+  // Inner: least fixpoint v of "T, or has a choice whose support stays in u
+  // and hits v", grown from T. A state can only start to hit v when one of
+  // its successors joins v, so each join re-examines just its predecessors
+  // in u \ v.
   StateSet u(n, true);
-  while (true) {
+  std::vector<StateId> work;
+  std::uint64_t rounds = 0;
+  std::uint64_t visits = 0;
+  for (;;) {
+    ++rounds;
     StateSet v = targets;
-    bool inner_changed = true;
-    while (inner_changed) {
-      inner_changed = false;
-      for (StateId s = 0; s < n; ++s) {
-        if (v[s] || !u[s]) continue;
-        for (std::uint32_t c = row_start[s]; c < row_start[s + 1]; ++c) {
-          bool support_in_u = true;
-          bool hits_v = false;
-          for (std::uint32_t k = choice_start[c]; k < choice_start[c + 1];
-               ++k) {
-            if (prob[k] <= 0.0) continue;
-            if (!u[target[k]]) support_in_u = false;
-            if (v[target[k]]) hits_v = true;
-          }
-          if (support_in_u && hits_v) {
-            v[s] = true;
-            inner_changed = true;
-            break;
-          }
+    for (StateId s = 0; s < n; ++s) {
+      if (v[s]) work.push_back(s);
+    }
+    while (!work.empty()) {
+      const StateId t = work.back();
+      work.pop_back();
+      for (StateId p : model.predecessors(t)) {
+        if (v[p] || !u[p]) continue;
+        ++visits;
+        if (has_choice_within(model, p, u, &v)) {
+          v[p] = true;
+          work.push_back(p);
         }
       }
     }
-    if (v == u) return u;
-    u = v;
+    if (v == u) break;
+    u = std::move(v);
   }
+  c_rounds.add(rounds);
+  c_visits.add(visits);
+  return u;
 }
 
 StateSet prob1_universal(const CompiledModel& model, const StateSet& targets) {
@@ -303,16 +331,16 @@ StateSet forward_reachable(const CompiledModel& model, StateId from) {
   const auto& target = model.target();
   const auto& prob = model.prob();
   StateSet reached(model.num_states(), false);
-  std::deque<StateId> queue{from};
+  std::vector<StateId> work{from};
   reached[from] = true;
-  while (!queue.empty()) {
-    const StateId s = queue.front();
-    queue.pop_front();
+  while (!work.empty()) {
+    const StateId s = work.back();
+    work.pop_back();
     for (std::uint32_t k = choice_start[row_start[s]];
          k < choice_start[row_start[s + 1]]; ++k) {
       if (prob[k] > 0.0 && !reached[target[k]]) {
         reached[target[k]] = true;
-        queue.push_back(target[k]);
+        work.push_back(target[k]);
       }
     }
   }
@@ -326,6 +354,8 @@ SccDecomposition scc_decomposition(const CompiledModel& model) {
 std::vector<std::vector<StateId>> maximal_end_components(
     const CompiledModel& model, const StateSet& within) {
   require_size(model, within, "maximal_end_components");
+  static stats::Timer& t_mec = stats::timer("graph.mec.time");
+  const stats::ScopedTimer span(t_mec);
   const std::size_t n = model.num_states();
   const auto& row_start = model.row_start();
   const auto& choice_start = model.choice_start();
@@ -383,45 +413,6 @@ std::vector<std::vector<StateId>> maximal_end_components(
   std::sort(mecs.begin(), mecs.end(),
             [](const auto& a, const auto& b) { return a.front() < b.front(); });
   return mecs;
-}
-
-// ---------------------------------------------------------------------------
-// Builder-facing wrappers: compile once, run the CSR kernel.
-
-StateSet reachable_existential(const Mdp& mdp, const StateSet& targets) {
-  return reachable_existential(compile(mdp), targets);
-}
-
-StateSet avoid_certain(const Mdp& mdp, const StateSet& targets) {
-  return avoid_certain(compile(mdp), targets);
-}
-
-StateSet prob1_existential(const Mdp& mdp, const StateSet& targets) {
-  return prob1_existential(compile(mdp), targets);
-}
-
-StateSet prob1_universal(const Mdp& mdp, const StateSet& targets) {
-  return prob1_universal(compile(mdp), targets);
-}
-
-StateSet dtmc_reach_positive(const Dtmc& chain, const StateSet& targets) {
-  return dtmc_reach_positive(compile(chain), targets);
-}
-
-StateSet dtmc_prob0(const Dtmc& chain, const StateSet& targets) {
-  return dtmc_prob0(compile(chain), targets);
-}
-
-StateSet dtmc_prob1(const Dtmc& chain, const StateSet& targets) {
-  return dtmc_prob1(compile(chain), targets);
-}
-
-StateSet forward_reachable(const Mdp& mdp, StateId from) {
-  return forward_reachable(compile(mdp), from);
-}
-
-StateSet forward_reachable(const Dtmc& chain, StateId from) {
-  return forward_reachable(compile(chain), from);
 }
 
 }  // namespace tml

@@ -16,52 +16,50 @@
 //  * prob1_universal(T):  { s : Pmin(F T)(s) = 1 } = complement of
 //    reachable_existential(avoid_certain(T)).
 //
-// Every analysis is implemented once, over the compiled CSR form
-// (src/mdp/compiled.hpp) whose cached predecessor structure feeds all
-// backward closures; the Mdp/Dtmc overloads compile and delegate.
+// Every analysis runs over the compiled CSR form (src/mdp/compiled.hpp);
+// callers holding an Mdp/Dtmc builder compile() once and pass the result.
+// The cached predecessor structure (CSC) drives every backward pass as a
+// worklist. The closures touch each edge once. The two fixpoints re-examine
+// a state only when one of its successors changes status, never by a
+// whole-model sweep: avoid_certain makes at most states + transitions
+// visits in total, and each outer round of prob1_existential at most
+// transitions, each visit costing the state's out-degree — O(Σ out-degree)
+// per round on bounded-degree models instead of O(states × diameter). The
+// stats registry counts the outer rounds (graph.prob1.rounds) and the
+// visits (graph.fixpoint.visits).
 
 #pragma once
 
 #include "src/mdp/compiled.hpp"
-#include "src/mdp/model.hpp"
 
 namespace tml {
 
 /// States with a path (under some scheduler) of positive probability to T.
 StateSet reachable_existential(const CompiledModel& model,
                                const StateSet& targets);
-StateSet reachable_existential(const Mdp& mdp, const StateSet& targets);
 
 /// States from which some scheduler stays out of T forever (prob 1 avoid).
 /// Requires targets ∩ result = ∅ by construction.
 StateSet avoid_certain(const CompiledModel& model, const StateSet& targets);
-StateSet avoid_certain(const Mdp& mdp, const StateSet& targets);
 
 /// { s : Pmax(F T)(s) = 1 } (Prob1E).
 StateSet prob1_existential(const CompiledModel& model, const StateSet& targets);
-StateSet prob1_existential(const Mdp& mdp, const StateSet& targets);
 
 /// { s : Pmin(F T)(s) = 1 } (Prob1A).
 StateSet prob1_universal(const CompiledModel& model, const StateSet& targets);
-StateSet prob1_universal(const Mdp& mdp, const StateSet& targets);
 
 /// DTMC: states that reach T with positive probability.
 StateSet dtmc_reach_positive(const CompiledModel& model,
                              const StateSet& targets);
-StateSet dtmc_reach_positive(const Dtmc& chain, const StateSet& targets);
 
 /// DTMC: { s : P(F T)(s) = 0 }.
 StateSet dtmc_prob0(const CompiledModel& model, const StateSet& targets);
-StateSet dtmc_prob0(const Dtmc& chain, const StateSet& targets);
 
 /// DTMC: { s : P(F T)(s) = 1 }.
 StateSet dtmc_prob1(const CompiledModel& model, const StateSet& targets);
-StateSet dtmc_prob1(const Dtmc& chain, const StateSet& targets);
 
 /// States reachable (forward) from `from` in the model.
 StateSet forward_reachable(const CompiledModel& model, StateId from);
-StateSet forward_reachable(const Mdp& mdp, StateId from);
-StateSet forward_reachable(const Dtmc& chain, StateId from);
 
 /// SCC condensation over the positive-probability edges, blocks emitted in
 /// dependency order (successor blocks first — Tarjan's emission order; see

@@ -244,9 +244,14 @@ SolveResult total_reward_to_target(const CompiledModel& model,
   // Finite-value region: Rmin needs some scheduler reaching almost surely
   // (Prob1E); Rmax needs all schedulers reaching almost surely (Prob1A) —
   // PRISM semantics, where a path missing the target carries infinite reward.
-  const StateSet finite = objective == Objective::kMinimize
-                              ? prob1_existential(model, targets)
-                              : prob1_universal(model, targets);
+  static stats::Timer& t_prob1 = stats::timer("graph.prob1.time");
+  StateSet finite;
+  {
+    const stats::ScopedTimer span(t_prob1);
+    finite = objective == Objective::kMinimize
+                 ? prob1_existential(model, targets)
+                 : prob1_universal(model, targets);
+  }
 
   SolveResult result;
   result.values.assign(n, 0.0);
@@ -413,7 +418,12 @@ std::vector<double> dtmc_total_reward(const CompiledModel& model,
   const auto& choice_start = model.choice_start();
   const auto& target = model.target();
   const auto& prob = model.prob();
-  const StateSet certain = dtmc_prob1(model, targets);
+  static stats::Timer& t_prob1 = stats::timer("graph.prob1.time");
+  StateSet certain;
+  {
+    const stats::ScopedTimer span(t_prob1);
+    certain = dtmc_prob1(model, targets);
+  }
 
   // Unknowns: non-target states that reach the target almost surely. Such
   // states only transition into other almost-sure states, so the restricted
@@ -467,8 +477,18 @@ std::vector<double> dtmc_reachability(const CompiledModel& model,
   const auto& choice_start = model.choice_start();
   const auto& target = model.target();
   const auto& prob = model.prob();
-  const StateSet zero = dtmc_prob0(model, targets);
-  const StateSet one = dtmc_prob1(model, targets);
+  static stats::Timer& t_prob0 = stats::timer("graph.prob0.time");
+  static stats::Timer& t_prob1 = stats::timer("graph.prob1.time");
+  StateSet zero;
+  StateSet one;
+  {
+    const stats::ScopedTimer span(t_prob0);
+    zero = dtmc_prob0(model, targets);
+  }
+  {
+    const stats::ScopedTimer span(t_prob1);
+    one = dtmc_prob1(model, targets);
+  }
   record_prob01_stats(zero, one);
 
   std::vector<int> index(n, -1);

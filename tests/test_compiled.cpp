@@ -4,17 +4,22 @@
 // The references in namespace `ref` below deliberately walk the builder
 // representation (Mdp::choices / Dtmc::transitions) the way the library did
 // before the CSR refactor; every compiled-path result must agree with them
-// to 1e-9 across a population of random models.
+// to 1e-9 across a population of random models. The qualitative-set
+// battery is bitwise, and its base seed rotates with TML_FUZZ_SEED (CI runs
+// this suite under the `differential` label with several seeds).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <deque>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/checker/reachability.hpp"
+#include "src/casestudies/generator.hpp"
 #include "src/checker/steady_state.hpp"
 #include "src/common/matrix.hpp"
 #include "src/common/rng.hpp"
@@ -27,6 +32,15 @@ namespace tml {
 namespace {
 
 constexpr double kTol = 1e-9;
+
+/// Offset added to every qualitative-battery seed; TML_FUZZ_SEED overrides
+/// the default 0, which keeps the historical fixed seeds.
+std::uint64_t base_seed() {
+  if (const char* env = std::getenv("TML_FUZZ_SEED")) {
+    return std::strtoull(env, nullptr, 10);
+  }
+  return 0;
+}
 
 // ---------------------------------------------------------------------------
 // Random model generators.
@@ -103,6 +117,94 @@ StateSet random_subset(Rng& rng, std::size_t n, double density) {
     if (rng.uniform() < density) out[s] = true;
   }
   if (out.none()) out[static_cast<StateId>(rng.index(n))] = true;
+  return out;
+}
+
+/// Random MDP shaped to stress worklist fixpoints: successors come mostly
+/// from a small window around the state, so diameters are long, and choices
+/// repeat targets, loop on themselves and carry zero-probability structural
+/// edges (support is "probability > 0", never "listed").
+Mdp random_worklist_mdp(Rng& rng, std::size_t n) {
+  Mdp mdp(n);
+  const ActionId act = mdp.declare_action("a");
+  for (StateId s = 0; s < n; ++s) {
+    const std::size_t num_choices = 1 + rng.index(3);
+    for (std::size_t c = 0; c < num_choices; ++c) {
+      std::vector<Transition> row;
+      const std::size_t fan = 1 + rng.index(3);
+      for (std::size_t j = 0; j < fan; ++j) {
+        const double r = rng.uniform();
+        StateId t = s;  // self-loop
+        if (r >= 0.8) {
+          t = static_cast<StateId>(rng.index(n));
+        } else if (r >= 0.2) {
+          const long shifted = static_cast<long>(s) - 2 +
+                               static_cast<long>(rng.index(6));
+          t = static_cast<StateId>(
+              std::clamp<long>(shifted, 0, static_cast<long>(n) - 1));
+        }
+        row.push_back(Transition{t, 0.05 + rng.uniform()});
+      }
+      if (rng.uniform() < 0.3) row.push_back(row[rng.index(row.size())]);
+      double total = 0.0;
+      for (const Transition& t : row) total += t.probability;
+      for (Transition& t : row) t.probability /= total;
+      if (rng.uniform() < 0.2) {
+        row.push_back(Transition{static_cast<StateId>(rng.index(n)), 0.0});
+      }
+      mdp.add_choice(s, act, std::move(row));
+    }
+  }
+  mdp.set_initial_state(static_cast<StateId>(rng.index(n)));
+  mdp.validate();
+  return mdp;
+}
+
+/// A chain 0 → … → n-1 with an absorbing trap at n: each state steps right
+/// or stays, and with probability `gamble` also owns a choice that reaches
+/// the next state or the trap. Diameter n, so status changes propagate
+/// through n levels.
+Mdp deep_chain_mdp(Rng& rng, std::size_t n, double gamble) {
+  Mdp mdp(n + 1);
+  const StateId trap = static_cast<StateId>(n);
+  for (StateId s = 0; s + 1 < n; ++s) {
+    mdp.add_choice(s, "step", {Transition{s, 0.5}, Transition{s + 1, 0.5}});
+    if (rng.uniform() < gamble) {
+      mdp.add_choice(s, "gamble",
+                     {Transition{s + 1, 0.5}, Transition{trap, 0.5}});
+    }
+  }
+  mdp.add_choice(static_cast<StateId>(n - 1), "stay",
+                 {Transition{static_cast<StateId>(n - 1), 1.0}});
+  mdp.add_choice(trap, "stay", {Transition{trap, 1.0}});
+  mdp.validate();
+  return mdp;
+}
+
+/// A birth–death chain of n states drifting right, absorbing at both ends.
+Dtmc deep_chain_dtmc(std::size_t n) {
+  Dtmc chain(n);
+  chain.set_transitions(0, {Transition{0, 1.0}});
+  for (StateId s = 1; s + 1 < n; ++s) {
+    chain.set_transitions(s, {Transition{s - 1, 0.25}, Transition{s, 0.25},
+                              Transition{s + 1, 0.5}});
+  }
+  chain.set_transitions(static_cast<StateId>(n - 1),
+                        {Transition{static_cast<StateId>(n - 1), 1.0}});
+  chain.validate();
+  return chain;
+}
+
+/// `mdp` with every state of `absorb` replaced by a single self-loop — the
+/// builder-side twin of CompiledModel::make_absorbing.
+Mdp absorbing_copy(const Mdp& mdp, const StateSet& absorb) {
+  Mdp out = mdp;
+  for (StateId s = 0; s < out.num_states(); ++s) {
+    if (absorb[s]) {
+      const ActionId action = out.choices(s).front().action;
+      out.mutable_choices(s) = {Choice{action, 0.0, {Transition{s, 1.0}}}};
+    }
+  }
   return out;
 }
 
@@ -419,11 +521,6 @@ std::vector<double> expected_feature_counts(const Mdp& mdp,
 
 }  // namespace ref
 
-void expect_sets_equal(const StateSet& got, const StateSet& want,
-                       const char* what, std::size_t model_idx) {
-  EXPECT_EQ(got, want) << what << " mismatch on model " << model_idx;
-}
-
 void expect_values_near(const std::vector<double>& got,
                         const std::vector<double>& want, const char* what,
                         std::size_t model_idx) {
@@ -517,42 +614,152 @@ TEST(Compiled, PredecessorsAreCompleteAndDeduped) {
 // ---------------------------------------------------------------------------
 // Qualitative sets.
 
+/// The four MDP sets of the compiled model, bitwise against the nested-sweep
+/// reference run on its builder twin.
+void expect_mdp_sets_match(const Mdp& mdp, const CompiledModel& model,
+                           const StateSet& targets, const std::string& where) {
+  EXPECT_EQ(reachable_existential(model, targets),
+            ref::reachable_existential(mdp, targets))
+      << "reachable_existential, " << where;
+  EXPECT_EQ(avoid_certain(model, targets), ref::avoid_certain(mdp, targets))
+      << "avoid_certain, " << where;
+  EXPECT_EQ(prob1_existential(model, targets),
+            ref::prob1_existential(mdp, targets))
+      << "prob1_existential, " << where;
+  EXPECT_EQ(prob1_universal(model, targets),
+            ref::prob1_universal(mdp, targets))
+      << "prob1_universal, " << where;
+}
+
+/// Both DTMC sets (and the positive-reach closure) bitwise.
+void expect_dtmc_sets_match(const Dtmc& chain, const CompiledModel& model,
+                            const StateSet& targets, const std::string& where) {
+  const StateSet zero = ref::dtmc_prob0(chain, targets);
+  EXPECT_EQ(dtmc_prob0(model, targets), zero) << "dtmc_prob0, " << where;
+  EXPECT_EQ(dtmc_prob1(model, targets), ref::dtmc_prob1(chain, targets))
+      << "dtmc_prob1, " << where;
+  EXPECT_EQ(dtmc_reach_positive(model, targets), complement(zero))
+      << "dtmc_reach_positive, " << where;
+}
+
 TEST(Compiled, DtmcQualitativeSetsMatchReference) {
-  Rng rng(21);
-  for (std::size_t trial = 0; trial < 8; ++trial) {
+  const std::uint64_t seed = base_seed() + 21;
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  Rng rng(seed);
+  for (std::size_t trial = 0; trial < 200; ++trial) {
     const std::size_t n = 4 + rng.index(28);
     const Dtmc chain = random_dtmc(rng, n);
     const StateSet targets = random_subset(rng, n, 0.25);
-    const CompiledModel model = compile(chain);
-    expect_sets_equal(dtmc_prob0(model, targets),
-                      ref::dtmc_prob0(chain, targets), "prob0", trial);
-    expect_sets_equal(dtmc_prob1(model, targets),
-                      ref::dtmc_prob1(chain, targets), "prob1", trial);
-    expect_sets_equal(
-        dtmc_reach_positive(model, targets),
-        complement(ref::dtmc_prob0(chain, targets)), "reach+", trial);
+    expect_dtmc_sets_match(chain, compile(chain), targets,
+                           "model " + std::to_string(trial));
   }
 }
 
 TEST(Compiled, MdpQualitativeSetsMatchReference) {
-  Rng rng(22);
-  for (std::size_t trial = 0; trial < 8; ++trial) {
-    const std::size_t n = 4 + rng.index(24);
-    const Mdp mdp = random_mdp(rng, n);
-    const StateSet targets = random_subset(rng, n, 0.25);
+  const std::uint64_t seed = base_seed() + 22;
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  Rng rng(seed);
+  for (std::size_t trial = 0; trial < 300; ++trial) {
+    const std::string where = "model " + std::to_string(trial);
+    // Dense uniform fan-out first, then window-local models with long
+    // diameters, duplicate targets, self-loops and zero-probability edges.
+    const bool local = trial % 2 == 1;
+    const std::size_t n = local ? 8 + rng.index(80) : 4 + rng.index(24);
+    const Mdp mdp = local ? random_worklist_mdp(rng, n) : random_mdp(rng, n);
+    const StateSet targets =
+        random_subset(rng, n, local ? 0.02 + 0.2 * rng.uniform() : 0.25);
     const CompiledModel model = compile(mdp);
-    expect_sets_equal(reachable_existential(model, targets),
-                      ref::reachable_existential(mdp, targets),
-                      "reachable_existential", trial);
-    expect_sets_equal(avoid_certain(model, targets),
-                      ref::avoid_certain(mdp, targets), "avoid_certain",
-                      trial);
-    expect_sets_equal(prob1_existential(model, targets),
-                      ref::prob1_existential(mdp, targets),
-                      "prob1_existential", trial);
-    expect_sets_equal(prob1_universal(model, targets),
-                      ref::prob1_universal(mdp, targets), "prob1_universal",
-                      trial);
+    expect_mdp_sets_match(mdp, model, targets, where);
+    // The until route (mdp_until) makes the escape states absorbing first.
+    const StateSet escape = random_subset(rng, n, 0.2);
+    expect_mdp_sets_match(absorbing_copy(mdp, escape),
+                          model.make_absorbing(escape), targets,
+                          where + " absorbing");
+  }
+}
+
+TEST(Compiled, QualitativeSetsMatchReferenceOnDeepFamilies) {
+  const std::uint64_t seed = base_seed() + 23;
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  Rng rng(seed);
+
+  // Chains of >= 500 states: every status change has to travel the whole
+  // diameter, against the state order and with it.
+  for (std::size_t trial = 0; trial < 4; ++trial) {
+    const std::size_t n = 500 + rng.index(200);
+    const Mdp mdp = deep_chain_mdp(rng, n, 0.1 + 0.3 * rng.uniform());
+    const CompiledModel model = compile(mdp);
+    StateSet goal(n + 1, false);
+    goal[static_cast<StateId>(n - 1)] = true;
+    const std::string where = "chain " + std::to_string(trial);
+    expect_mdp_sets_match(mdp, model, goal, where);
+    expect_mdp_sets_match(mdp, model, random_subset(rng, n + 1, 0.01),
+                          where + " random targets");
+    const StateSet escape = random_subset(rng, n + 1, 0.02);
+    expect_mdp_sets_match(absorbing_copy(mdp, escape),
+                          model.make_absorbing(escape), goal,
+                          where + " absorbing");
+  }
+  {
+    const Dtmc chain = deep_chain_dtmc(600);
+    const CompiledModel model = compile(chain);
+    StateSet right(600, false);
+    right[599] = true;
+    expect_dtmc_sets_match(chain, model, right, "birth-death chain");
+    expect_mdp_sets_match(chain.as_mdp(), compile(chain.as_mdp()), right,
+                          "birth-death chain as MDP");
+  }
+
+  // Small tml_gen fixtures with hazards: the grid robot both on F "goal"
+  // and on the until route !"hazard" U "goal" (hazards made absorbing).
+  for (std::size_t trial = 0; trial < 6; ++trial) {
+    GeneratorSpec spec;
+    spec.family = GeneratorFamily::kGridRobot;
+    spec.size = 6 + rng.index(8);
+    spec.seed = seed + trial;
+    spec.hazard_density = 0.05 + 0.25 * rng.uniform();
+    const Mdp mdp = generate_grid_robot(spec);
+    const CompiledModel model = compile(mdp);
+    const StateSet goal = mdp.states_with_label("goal");
+    const StateSet hazard = mdp.states_with_label("hazard");
+    const std::string where = "grid " + std::to_string(spec.size) +
+                              " hazard " + std::to_string(spec.hazard_density);
+    expect_mdp_sets_match(mdp, model, goal, where);
+    expect_mdp_sets_match(absorbing_copy(mdp, hazard),
+                          model.make_absorbing(hazard), goal,
+                          where + " until");
+  }
+  for (std::size_t trial = 0; trial < 4; ++trial) {
+    GeneratorSpec spec;
+    spec.family = GeneratorFamily::kQueueMesh;
+    spec.size = 3 + rng.index(8);
+    spec.seed = seed + trial;
+    const Dtmc chain = generate_queue_mesh(spec);
+    const std::string where = "queue " + std::to_string(spec.size);
+    for (const char* label : {"full", "empty"}) {
+      const StateSet targets = chain.states_with_label(label);
+      expect_dtmc_sets_match(chain, compile(chain), targets,
+                             where + " " + label);
+      expect_mdp_sets_match(chain.as_mdp(), compile(chain.as_mdp()), targets,
+                            where + " " + label + " as MDP");
+    }
+  }
+  for (std::size_t trial = 0; trial < 3; ++trial) {
+    GeneratorSpec spec;
+    spec.family = GeneratorFamily::kWsnField;
+    spec.size = 1 + rng.index(3);
+    spec.seed = seed + trial;
+    spec.jitter = trial == 0 ? 0.0 : 0.02;
+    const Mdp mdp = generate_wsn_field(spec);
+    const CompiledModel model = compile(mdp);
+    const std::string where = "wsn " + std::to_string(spec.size);
+    expect_mdp_sets_match(mdp, model, mdp.states_with_label("delivered"),
+                          where);
+    const StateSet escape = random_subset(rng, mdp.num_states(), 0.1);
+    expect_mdp_sets_match(absorbing_copy(mdp, escape),
+                          model.make_absorbing(escape),
+                          mdp.states_with_label("delivered"),
+                          where + " absorbing");
   }
 }
 

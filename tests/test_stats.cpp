@@ -108,7 +108,9 @@ TEST(Stats, JsonContainsCanonicalEngineSchema) {
        {"compile.calls", "checker.vi.iterations", "parametric.eliminations",
         "opt.objective_evals", "smc.samples", "irl.backward_passes",
         "core.trusted_learn.runs", "compile.time", "checker.check.time",
-        "smc.check.time"}) {
+        "smc.check.time", "graph.preds.time", "graph.scc.time",
+        "graph.mec.time", "graph.prob0.time", "graph.prob1.time",
+        "graph.prob1.rounds", "graph.fixpoint.visits"}) {
     EXPECT_NE(json.find("\"" + name + "\""), std::string::npos) << name;
   }
   EXPECT_NE(json.find("\"enabled\""), std::string::npos);
