@@ -13,6 +13,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -118,6 +119,18 @@ class Bitset {
   }
 
   const std::vector<Word>& words() const { return words_; }
+
+  /// Grows or shrinks to `size` bits; new bits are false. Word storage
+  /// grows geometrically, so growing by one bit at a time is amortised O(1).
+  void resize(std::size_t size) {
+    const std::size_t words = num_words(size);
+    if (words > words_.capacity()) {
+      words_.reserve(std::max(words, 2 * words_.capacity()));
+    }
+    words_.resize(words, Word{0});
+    size_ = size;
+    trim();
+  }
 
   friend std::ostream& operator<<(std::ostream& os, const Bitset& set) {
     os << '{';

@@ -106,6 +106,13 @@ class ThreadPool {
 /// while tiny case-study models (tens of states) stay single-chunk.
 inline constexpr std::size_t kDefaultGrain = 64;
 
+/// Per-state sweeps (loops at kDefaultGrain) over fewer chunks than this run
+/// inline on the caller: waking the pool costs more than a few 64-state
+/// chunks of work, and a solver may run millions of such sweeps. Coarser
+/// work units (multi-start solves, SMC shards) still go to the pool. The
+/// chunk layout is the same either way, so results do not change.
+inline constexpr std::size_t kMinParallelSweepChunks = 16;
+
 /// Number of grain-sized chunks covering [begin, end).
 inline std::size_t chunk_count(std::size_t begin, std::size_t end,
                                std::size_t grain) {
@@ -119,6 +126,14 @@ namespace detail {
 /// (0 = default). A resolved count of 1 executes inline in index order.
 void run_chunks(std::size_t num_chunks, std::size_t threads,
                 const std::function<void(std::size_t)>& chunk_fn);
+
+/// The thread request for a loop of `chunks` chunks of `grain` items: 1
+/// (inline) for a short per-state sweep, `threads` otherwise.
+inline std::size_t sweep_threads(std::size_t chunks, std::size_t grain,
+                                 std::size_t threads) {
+  return grain == kDefaultGrain && chunks < kMinParallelSweepChunks ? 1
+                                                                    : threads;
+}
 }  // namespace detail
 
 /// Parallel loop over [begin, end): `body(chunk_begin, chunk_end)` for each
@@ -130,7 +145,8 @@ inline void parallel_for(
     const std::function<void(std::size_t, std::size_t)>& body,
     std::size_t threads = 0) {
   const std::size_t g = std::max<std::size_t>(1, grain);
-  detail::run_chunks(chunk_count(begin, end, g), threads,
+  const std::size_t chunks = chunk_count(begin, end, g);
+  detail::run_chunks(chunks, detail::sweep_threads(chunks, g, threads),
                      [&](std::size_t c) {
                        const std::size_t cb = begin + c * g;
                        body(cb, std::min(end, cb + g));
@@ -150,10 +166,11 @@ T parallel_transform_reduce(std::size_t begin, std::size_t end,
   const std::size_t chunks = chunk_count(begin, end, g);
   if (chunks == 0) return init;
   std::vector<T> partial(chunks);
-  detail::run_chunks(chunks, threads, [&](std::size_t c) {
-    const std::size_t cb = begin + c * g;
-    partial[c] = map(cb, std::min(end, cb + g));
-  });
+  detail::run_chunks(chunks, detail::sweep_threads(chunks, g, threads),
+                     [&](std::size_t c) {
+                       const std::size_t cb = begin + c * g;
+                       partial[c] = map(cb, std::min(end, cb + g));
+                     });
   T acc = std::move(init);
   for (std::size_t c = 0; c < chunks; ++c) {
     acc = combine(std::move(acc), std::move(partial[c]));

@@ -53,6 +53,11 @@ constexpr SchemaEntry kSchema[] = {
     {"compile.quotient_fallbacks", SchemaEntry::kCounter},
     {"compile.quotient_blocks", SchemaEntry::kGauge},
     {"compile.quotient_time", SchemaEntry::kTimer},
+    // Front end: PRISM model text (including the validation of the parsed
+    // model) and PCTL formulas; bytes counts the model text read.
+    {"parse.prism.time", SchemaEntry::kTimer},
+    {"parse.prism.bytes", SchemaEntry::kCounter},
+    {"parse.pctl.time", SchemaEntry::kTimer},
     // Qualitative graph precomputation (src/mdp/graph.cpp). prob0/prob1
     // time the checker's and solver's calls per objective; scc times every
     // Tarjan pass, including the passes inside the MEC fixpoint, so

@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "src/common/numeric.hpp"
+#include "src/common/stats.hpp"
 
 namespace tml {
 
@@ -273,6 +274,8 @@ class Parser {
 }  // namespace
 
 StateFormulaPtr parse_pctl(const std::string& text) {
+  static stats::Timer& t_parse = stats::timer("parse.pctl.time");
+  const stats::ScopedTimer span(t_parse);
   return Parser(text).parse();
 }
 

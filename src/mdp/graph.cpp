@@ -316,7 +316,12 @@ StateSet dtmc_prob0(const CompiledModel& model, const StateSet& targets) {
 }
 
 StateSet dtmc_prob1(const CompiledModel& model, const StateSet& targets) {
-  const StateSet zero = dtmc_prob0(model, targets);
+  return dtmc_prob1(model, targets, dtmc_prob0(model, targets));
+}
+
+StateSet dtmc_prob1(const CompiledModel& model, const StateSet& targets,
+                    const StateSet& zero) {
+  require_size(model, zero, "dtmc_prob1");
   // P(F T)(s) = 1 iff s cannot reach a probability-0 state before passing
   // through T (paths that hit T first have already succeeded).
   const StateSet can_fail = backward_closure(model, zero, &targets);

@@ -58,6 +58,11 @@ StateSet dtmc_prob0(const CompiledModel& model, const StateSet& targets);
 /// DTMC: { s : P(F T)(s) = 1 }.
 StateSet dtmc_prob1(const CompiledModel& model, const StateSet& targets);
 
+/// The same set, given `zero` = dtmc_prob0(model, targets) already computed,
+/// so a caller that needs both sets runs the prob0 closure once.
+StateSet dtmc_prob1(const CompiledModel& model, const StateSet& targets,
+                    const StateSet& zero);
+
 /// States reachable (forward) from `from` in the model.
 StateSet forward_reachable(const CompiledModel& model, StateId from);
 

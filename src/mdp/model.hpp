@@ -67,6 +67,37 @@ struct RandomizedPolicy {
 
 class Dtmc;
 
+/// Labels and names of a model's states, kept beside the transition
+/// structure by both Mdp and Dtmc. Each label is one StateSet over all
+/// states, so `add_label` sets a bit and `states_with_label` is a copy.
+/// Names live in a side vector that is allocated only once some state gets
+/// a non-empty name; PRISM files and tml_gen never name states.
+class StateLabels {
+ public:
+  /// Grows to `num_states`; the new states are unlabelled and unnamed.
+  void grow(std::size_t num_states);
+
+  void add_label(StateId state, const std::string& label);
+  bool has_label(StateId state, const std::string& label) const;
+  StateSet states_with_label(const std::string& label) const;
+  /// The state's labels in label-id order (the order of `label_names`).
+  std::vector<std::string> labels_of(StateId state) const;
+  /// Every label, in the order of first use.
+  const std::vector<std::string>& label_names() const { return label_names_; }
+
+  const std::string& name(StateId state) const;
+  void set_name(StateId state, const std::string& name);
+  /// The unique state called `name`; `owner` prefixes the error message.
+  StateId by_name(const std::string& name, const char* owner) const;
+
+ private:
+  std::size_t num_states_ = 0;
+  std::vector<std::string> label_names_;
+  std::unordered_map<std::string, std::uint32_t> label_ids_;
+  std::vector<StateSet> label_sets_;  // one per label, num_states_ bits each
+  std::vector<std::string> names_;    // empty until a state is named
+};
+
 /// Finite Markov decision process with labels and rewards.
 ///
 /// Construction: create with the number of states (or use `add_state`),
@@ -79,7 +110,7 @@ class Mdp {
 
   // -- structure ----------------------------------------------------------
 
-  std::size_t num_states() const { return states_.size(); }
+  std::size_t num_states() const { return choices_.size(); }
   StateId add_state(const std::string& name = "");
   void resize(std::size_t num_states);
 
@@ -120,7 +151,9 @@ class Mdp {
   /// Returns the bitset of states carrying `label` (all-false if the label
   /// was never used).
   StateSet states_with_label(const std::string& label) const;
+  /// The state's labels in label-id order, i.e. the order of `all_labels`.
   std::vector<std::string> labels_of(StateId state) const;
+  /// Every label, in the order of first use.
   std::vector<std::string> all_labels() const;
 
   // -- names --------------------------------------------------------------
@@ -153,21 +186,13 @@ class Mdp {
   RandomizedPolicy uniform_policy() const;
 
  private:
-  struct StateData {
-    std::string name;
-    std::vector<Choice> choices;
-    std::vector<std::uint32_t> labels;  // indices into label_names_
-  };
-
-  std::uint32_t label_id(const std::string& label);
-
-  std::vector<StateData> states_;
+  // 24 bytes a state: labels and names live in `labels_`.
+  std::vector<std::vector<Choice>> choices_;
   std::vector<double> state_rewards_;
   StateId initial_state_ = 0;
   std::vector<std::string> action_names_;
   std::unordered_map<std::string, ActionId> action_ids_;
-  std::vector<std::string> label_names_;
-  std::unordered_map<std::string, std::uint32_t> label_ids_;
+  StateLabels labels_;
 };
 
 /// Discrete-time Markov chain: exactly one distribution per state.
@@ -196,6 +221,7 @@ class Dtmc {
   void add_label(StateId state, const std::string& label);
   bool has_label(StateId state, const std::string& label) const;
   StateSet states_with_label(const std::string& label) const;
+  /// The state's labels in label-id order, i.e. the order of `all_labels`.
   std::vector<std::string> labels_of(StateId state) const;
   std::vector<std::string> all_labels() const;
 
@@ -210,19 +236,12 @@ class Dtmc {
   Mdp as_mdp() const;
 
  private:
-  struct Row {
-    std::string name;
-    std::vector<Transition> transitions;
-    std::vector<std::uint32_t> labels;
-  };
-
-  std::uint32_t label_id(const std::string& label);
-
-  std::vector<Row> rows_;
+  // The same record as Mdp: one transition row a state, labels and names
+  // in `labels_`.
+  std::vector<std::vector<Transition>> rows_;
   std::vector<double> state_rewards_;
   StateId initial_state_ = 0;
-  std::vector<std::string> label_names_;
-  std::unordered_map<std::string, std::uint32_t> label_ids_;
+  StateLabels labels_;
 };
 
 }  // namespace tml

@@ -36,6 +36,8 @@ struct PrismModel {
 
 /// Parses PRISM source text; throws ParseError with position information
 /// on malformed input and ModelError if the resulting model is invalid.
+/// A state range with more states than the source has bytes is malformed
+/// (each state needs a command), so the input bounds what gets allocated.
 PrismModel parse_prism(const std::string& source);
 
 }  // namespace tml

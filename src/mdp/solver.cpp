@@ -487,7 +487,7 @@ std::vector<double> dtmc_reachability(const CompiledModel& model,
   }
   {
     const stats::ScopedTimer span(t_prob1);
-    one = dtmc_prob1(model, targets);
+    one = dtmc_prob1(model, targets, zero);
   }
   record_prob01_stats(zero, one);
 

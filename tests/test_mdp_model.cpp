@@ -92,6 +92,50 @@ TEST(Mdp, LabelsAndSets) {
   EXPECT_TRUE(empty(mdp.states_with_label("unknown")));
 }
 
+TEST(Mdp, LabelsOfFollowsLabelIdOrder) {
+  Mdp mdp(3);
+  mdp.add_label(2, "b");
+  mdp.add_label(0, "a");
+  mdp.add_label(0, "b");  // state 0 gets "a" first, but "b" has the lower id
+  EXPECT_EQ(mdp.all_labels(), (std::vector<std::string>{"b", "a"}));
+  EXPECT_EQ(mdp.labels_of(0), (std::vector<std::string>{"b", "a"}));
+  EXPECT_TRUE(mdp.labels_of(1).empty());
+}
+
+TEST(Mdp, LabelSetsGrowWithAddState) {
+  Mdp mdp;
+  mdp.add_state();
+  mdp.add_label(0, "goal");
+  // Grow across several 64-bit words; new states are unlabelled.
+  for (int i = 0; i < 200; ++i) mdp.add_state();
+  mdp.add_label(150, "goal");
+  const StateSet goal = mdp.states_with_label("goal");
+  ASSERT_EQ(goal.size(), 201u);
+  EXPECT_EQ(count(goal), 2u);
+  EXPECT_TRUE(goal[0]);
+  EXPECT_TRUE(goal[150]);
+  EXPECT_FALSE(mdp.has_label(200, "goal"));
+  mdp.resize(300);
+  EXPECT_EQ(mdp.states_with_label("goal").size(), 300u);
+  EXPECT_EQ(mdp.states_with_label("unused").size(), 300u);
+}
+
+TEST(Mdp, NamesAreOptional) {
+  Mdp mdp(3);
+  EXPECT_EQ(mdp.state_name(2), "");
+  mdp.set_state_name(1, "");  // naming nothing allocates nothing
+  EXPECT_THROW(mdp.state_by_name("x"), Error);
+  mdp.set_state_name(1, "x");
+  EXPECT_EQ(mdp.state_by_name("x"), 1u);
+  EXPECT_EQ(mdp.state_name(0), "");
+  const StateId named = mdp.add_state("y");
+  EXPECT_EQ(mdp.state_by_name("y"), named);
+  EXPECT_EQ(mdp.add_state(), 4u);
+  EXPECT_EQ(mdp.state_name(4), "");
+  // Unnamed states share the empty name, so looking it up is ambiguous.
+  EXPECT_THROW(mdp.state_by_name(""), Error);
+}
+
 TEST(Mdp, InitialStateChecked) {
   Mdp mdp = two_state_mdp();
   mdp.set_initial_state(1);

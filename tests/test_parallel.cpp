@@ -11,6 +11,7 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -91,6 +92,20 @@ TEST(ParallelFor, CoversRangeWithoutOverlap) {
     EXPECT_EQ(std::accumulate(touched.begin(), touched.end(), 0), 1000);
     EXPECT_EQ(*std::min_element(touched.begin(), touched.end()), 1);
   }
+}
+
+TEST(ParallelFor, ShortPerStateSweepRunsOnTheCaller) {
+  // Fewer than kMinParallelSweepChunks chunks at kDefaultGrain: the pool is
+  // not woken, whatever the thread request.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(kMinParallelSweepChunks - 1);
+  parallel_for(
+      0, ran_on.size() * kDefaultGrain, kDefaultGrain,
+      [&](std::size_t begin, std::size_t) {
+        ran_on[begin / kDefaultGrain] = std::this_thread::get_id();
+      },
+      8);
+  for (const std::thread::id id : ran_on) EXPECT_EQ(id, caller);
 }
 
 TEST(ParallelFor, EmptyRangeIsANoop) {

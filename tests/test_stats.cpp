@@ -10,6 +10,7 @@
 
 #include "src/checker/check.hpp"
 #include "src/logic/parser.hpp"
+#include "src/mdp/prism_parser.hpp"
 #include "src/mdp/model.hpp"
 
 namespace tml {
@@ -110,7 +111,8 @@ TEST(Stats, JsonContainsCanonicalEngineSchema) {
         "core.trusted_learn.runs", "compile.time", "checker.check.time",
         "smc.check.time", "graph.preds.time", "graph.scc.time",
         "graph.mec.time", "graph.prob0.time", "graph.prob1.time",
-        "graph.prob1.rounds", "graph.fixpoint.visits"}) {
+        "graph.prob1.rounds", "graph.fixpoint.visits", "parse.prism.time",
+        "parse.prism.bytes", "parse.pctl.time"}) {
     EXPECT_NE(json.find("\"" + name + "\""), std::string::npos) << name;
   }
   EXPECT_NE(json.find("\"enabled\""), std::string::npos);
@@ -145,6 +147,29 @@ TEST(Stats, CheckerAndCompileInstrumentationCountWork) {
   EXPECT_GE(stats::counter("compile.calls").value(), 1u);
   EXPECT_GE(stats::counter("compile.rows").value(), 3u);
   EXPECT_GE(stats::timer("checker.check.time").count(), 1u);
+}
+
+TEST(Stats, FrontEndInstrumentationCountsBytesAndParses) {
+  const std::string source =
+      "dtmc\nmodule m\n  s : [0..1] init 0;\n"
+      "  [] s=0 -> 1 : (s'=1);\n  [] s=1 -> 1 : (s'=1);\nendmodule\n";
+  {
+    const EnabledGuard guard(false);
+    stats::reset();
+    (void)parse_prism(source);
+    (void)parse_pctl("P=? [ F \"goal\" ]");
+    EXPECT_EQ(stats::counter("parse.prism.bytes").value(), 0u);
+    EXPECT_EQ(stats::timer("parse.prism.time").count(), 0u);
+    EXPECT_EQ(stats::timer("parse.pctl.time").count(), 0u);
+  }
+  const EnabledGuard guard(true);
+  stats::reset();
+  (void)parse_prism(source);
+  (void)parse_prism(source);
+  (void)parse_pctl("P=? [ F \"goal\" ]");
+  EXPECT_EQ(stats::counter("parse.prism.bytes").value(), 2 * source.size());
+  EXPECT_EQ(stats::timer("parse.prism.time").count(), 2u);
+  EXPECT_EQ(stats::timer("parse.pctl.time").count(), 1u);
 }
 
 TEST(Stats, InstrumentationDoesNotPerturbResults) {

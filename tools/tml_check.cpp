@@ -83,10 +83,12 @@
 #include <atomic>
 #include <csignal>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
+#include <system_error>
 
 #include "src/common/budget.hpp"
 
@@ -106,6 +108,24 @@
 using namespace tml;
 
 namespace {
+
+/// The whole file in one string sized up front: a 10^6-state model is
+/// ~144 MB of text, and reading through a stringstream held two copies.
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::error_code error;
+  const std::uintmax_t size = std::filesystem::file_size(path, error);
+  if (error) {  // not a regular file (a pipe, say): read it as a stream
+    std::ostringstream stream;
+    stream << in.rdbuf();
+    return stream.str();
+  }
+  std::string text(static_cast<std::size_t>(size), '\0');
+  in.read(text.data(), static_cast<std::streamsize>(text.size()));
+  text.resize(static_cast<std::size_t>(in.gcount()));  // in case it shrank
+  return text;
+}
 
 int usage() {
   std::cerr << "usage: tml_check <model.prism> \"<pctl formula>\" "
@@ -465,14 +485,12 @@ int main(int argc, char** argv) {
   const SigintGuard sigint_guard;
 
   try {
-    std::ifstream in(path);
-    if (!in) {
+    const std::optional<std::string> text = read_file(path);
+    if (!text) {
       std::cerr << "tml_check: cannot open " << path << "\n";
       return 2;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const PrismModel model = parse_prism(buffer.str());
+    const PrismModel model = parse_prism(*text);
     const StateFormulaPtr formula = parse_pctl(formula_text);
 
     std::cout << "model:    " << path << " ("
